@@ -139,14 +139,13 @@ let send t slot req =
      Obs.Instrument.Counter.add t.bytes_received_total
        (String.length (Wire.encode_response resp) + 4);
      (match resp with
-      | Wire.Shard_rows { partition; _ }
-      | Wire.Shard_ack { partition; _ }
-      | Wire.Shard_sketch { partition; _ } ->
-        slot.summary <- Some partition
-      | Wire.Shard_pong { partition; pong_map_version; now; _ } ->
+      | Wire.Shard_reply { partition; body; _ } ->
         slot.summary <- Some partition;
-        slot.map_version_seen <- pong_map_version;
-        locked t (fun () -> t.now <- Time.max t.now now)
+        (match body with
+         | Wire.Pong { map_version; now } ->
+           slot.map_version_seen <- map_version;
+           locked t (fun () -> t.now <- Time.max t.now now)
+         | Wire.Rows _ | Wire.Ack _ | Wire.Agg _ | Wire.Sketch _ -> ())
       | Wire.Err _ ->
         (* A refused or failed statement tells us nothing about the
            partition; forget the cached summary rather than guess. *)
@@ -157,16 +156,12 @@ let send t slot req =
      slot.summary <- None);
   result
 
-let ctx_of trace =
-  Option.map
-    (fun tr ->
-      { Wire.trace_id = Obs.Trace.trace_id tr;
-        parent_span = Option.value ~default:0 (Obs.Trace.current_parent tr)
-      })
-    trace
+(* The one unit of work the coordinator ships to a shard, carrying the
+   caller's trace context so the shard's spans join its trace. *)
+let fragment ?trace ?(kind = Wire.Statement) sql =
+  Wire.Fragment { sql; kind; ctx = Option.map Wire.ctx_of_trace trace }
 
-let exec_shard ?trace t slot sql =
-  send t slot (Wire.Exec_shard { sql; ctx = ctx_of trace })
+let exec_shard ?trace t slot sql = send t slot (fragment ?trace sql)
 
 (* ---------- statement classification ---------- *)
 
@@ -311,6 +306,9 @@ let query_tau t (qs : Ast.query_stmt) =
   | Some n -> Time.max now (Time.of_int n)
   | None -> now
 
+(* The tau a pruned fan-out proves partitions empty at, if pruning. *)
+let prune_at t ~prune qs = if prune then Some (query_tau t qs) else None
+
 (* Fan one request out to [contacted] in parallel, under a [scatter]
    span.  The rpc spans are recorded after the join (a trace is not
    synchronised across threads); offsets and durations are the ones
@@ -361,22 +359,64 @@ let shard_failed slot message =
         Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message
     }
 
-(* Collect [Shard_rows] partials, short-circuiting on the first shard
-   error.  An [Err] the shard itself sent passes through untouched (it
+(* Which shards a fan-out contacts.  Without [prune_at]: all of them.
+   With it, a fragment skips every shard whose cached summary proves
+   its partition empty at that tau — except that rows need someone to
+   name the result columns, so a rows fragment keeps one shard even
+   when all are prunable (still saving n-1 contacts).  An aggregate
+   partial knows its columns already and may skip every shard, and a
+   sketch partial is never pruned: it covers the whole expiration
+   axis, which the coordinator queries at its own tau. *)
+let choose t ?prune_at request =
+  let all = slots t in
+  match (prune_at, request) with
+  | ( Some tau,
+      Wire.Fragment
+        { kind =
+            (Wire.Statement | Wire.Broadcast_join _ | Wire.Agg_partial) as kind;
+          _
+        } ) ->
+    let contacted, pruned =
+      match (List.partition (fun s -> not (prunable s tau)) all, kind) with
+      | ([], first :: rest), (Wire.Statement | Wire.Broadcast_join _) ->
+        ([ first ], rest)
+      | split, _ -> split
+    in
+    Obs.Instrument.Counter.add t.pruned_total (List.length pruned);
+    contacted
+  | _ -> all
+
+(* The one scatter-gather: choose the shards, fan [request] out, and
+   gather one typed partial per shard through [take], in contact
+   order.  An [Err] the shard itself sent passes through untouched (it
    is a statement-level verdict, e.g. a parse error); a transport
-   failure or an off-protocol reply becomes [Shard_failed]. *)
-let gather_rows partials =
+   failure or a reply [take] rejects becomes [Shard_failed]. *)
+let scatter ?trace ?prune_at t request take =
   let rec gather acc = function
     | [] -> Ok (List.rev acc)
-    | (_, Ok (Wire.Shard_rows { columns; rows; texp_e; recomputed; _ })) :: rest
-      ->
-      gather ((columns, rows, texp_e, recomputed) :: acc) rest
     | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a query")
     | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
+    | (slot, Ok reply) :: rest ->
+      (match take reply with
+       | Some part -> gather ((slot, part) :: acc) rest
+       | None -> Error (shard_failed slot "unexpected reply"))
   in
-  gather [] partials
+  gather [] (fan_out ?trace t (choose t ?prune_at request) request)
+
+let rows_part = function
+  | Wire.Shard_reply
+      { body = Wire.Rows { columns; rows; texp_e; recomputed }; _ } ->
+    Some (columns, rows, texp_e, recomputed)
+  | _ -> None
+
+(* Present merged partial listings as the client's answer. *)
+let answer ~columns (qs : Ast.query_stmt) ~texp_e ~recomputed partials =
+  match
+    merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
+      partials
+  with
+  | rows -> Wire.Rows { columns; rows; texp_e; recomputed }
+  | exception Failure message | exception Lower.Error message -> err message
 
 (* ---------- cluster horizon ---------- *)
 
@@ -389,17 +429,11 @@ let gather_rows partials =
    and the forecast must name every table.  Returns the merged report
    plus the per-shard live-row breakdown. *)
 let gather_horizon ?trace ?table t =
-  let replies = fan_out ?trace t (slots t) (Wire.Horizon table) in
-  let rec gather acc = function
-    | [] -> Ok (List.rev acc)
-    | (slot, Ok (Wire.Horizon_reply r)) :: rest ->
-      gather ((slot, r) :: acc) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a horizon request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] replies with
+  match
+    scatter ?trace t (Wire.Horizon table) (function
+      | Wire.Horizon_reply r -> Some r
+      | _ -> None)
+  with
   | Error e -> Error e
   | Ok [] -> Error (err "no shards")
   | Ok parts ->
@@ -429,45 +463,23 @@ let horizon_page t =
     (fun (report, _) -> Obs.Prometheus.render (Obs.Horizon.metrics report))
     (horizon t)
 
-(* Fan a query out to every shard whose partition can still hold live
-   rows at the query's tau, in parallel, and merge.  With every shard
-   prunable, one shard is still asked — someone has to name the result
-   columns — which still saves n-1 contacts. *)
-let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
+(* Fan a rows fragment — the query itself, or a broadcast join — out to
+   every shard whose partition can still hold live rows at the query's
+   tau, in parallel, and merge under the union rule. *)
+let scatter_gather ?trace ?kind ~prune t (qs : Ast.query_stmt) sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else begin
-      match List.partition (fun s -> not (prunable s tau)) all with
-      | [], everyone -> ([ List.hd everyone ], List.tl everyone)
-      | split -> split
-    end
-  in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let partials =
-    fan_out ?trace t contacted (Wire.Exec_shard { sql; ctx = ctx_of trace })
-  in
-  match gather_rows partials with
+  match
+    scatter ?trace ?prune_at:(prune_at t ~prune qs) t
+      (fragment ?trace ?kind sql) rows_part
+  with
   | Error e -> e
   | Ok [] -> err "no shards"
-  | Ok ((columns, _, _, _) :: _ as parts) ->
-    (match
-       merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
-         (List.map (fun (_, rows, _, _) -> rows) parts)
-     with
-     | listing ->
-       Wire.Rows
-         { columns;
-           rows = listing;
-           texp_e = Time.min_list (List.map (fun (_, _, te, _) -> te) parts);
-           recomputed = List.exists (fun (_, _, _, r) -> r) parts
-         }
-     | exception Failure message | exception Lower.Error message ->
-       err message)
+  | Ok ((_, (columns, _, _, _)) :: _ as parts) ->
+    let parts = List.map snd parts in
+    answer ~columns qs
+      ~texp_e:(Time.min_list (List.map (fun (_, _, te, _) -> te) parts))
+      ~recomputed:(List.exists (fun (_, _, _, r) -> r) parts)
+      (List.map (fun (_, rows, _, _) -> rows) parts)
 
 (* A grouped (or global) exact aggregate, combined from per-shard
    expiration-slice partials.  Every shard evaluates the decomposed
@@ -488,55 +500,31 @@ let scatter_gather ?trace ~prune t (qs : Ast.query_stmt) sql =
 let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
     (d : Lower.decomposed) ~columns ~child_arity sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else List.partition (fun s -> not (prunable s tau)) all
-  in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let replies =
-    fan_out ?trace t contacted (Wire.Agg_shard { sql; ctx = ctx_of trace })
-  in
-  let rec gather partials texps = function
-    | [] -> Ok (List.rev partials, texps)
-    | (_, Ok (Wire.Shard_agg { groups; child_texp; _ })) :: rest ->
-      gather (groups :: partials) (child_texp :: texps) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to an aggregate request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] [] replies with
+  match
+    scatter ?trace ?prune_at:(prune_at t ~prune qs) t
+      (fragment ?trace ~kind:Wire.Agg_partial sql)
+      (function
+        | Wire.Shard_reply { body = Wire.Agg { groups; child_texp; _ }; _ } ->
+          Some (groups, child_texp)
+        | _ -> None)
+  with
   | Error e -> e
-  | Ok (partials, child_texps) ->
+  | Ok parts ->
+    let parts = List.map snd parts in
     (match
        Expirel_exec.Partial_agg.finalize ~group:d.Lower.d_group
          ~func:d.Lower.d_func ~child_arity ?having:d.Lower.d_having
          ~projection:d.Lower.d_projection
-         (Expirel_exec.Partial_agg.merge_all partials)
+         (Expirel_exec.Partial_agg.merge_all (List.map fst parts))
      with
      | relation, invalidation ->
-       let rows =
-         List.map
-           (fun (tuple, e) -> (Tuple.to_list tuple, e))
-           (Relation.to_list relation)
-       in
-       (match
-          merge_partials ~columns ~order_by:qs.Ast.order_by
-            ~limit:qs.Ast.limit [ rows ]
-        with
-        | listing ->
-          Wire.Rows
-            { columns;
-              rows = listing;
-              texp_e = Time.min_list (invalidation :: child_texps);
-              recomputed = false
-            }
-        | exception Failure message | exception Lower.Error message ->
-          err message)
+       answer ~columns qs
+         ~texp_e:(Time.min_list (invalidation :: List.map snd parts))
+         ~recomputed:false
+         [ List.map
+             (fun (tuple, e) -> (Tuple.to_list tuple, e))
+             (Relation.to_list relation)
+         ]
      | exception Invalid_argument message -> err message)
 
 (* An approximate aggregate: every shard folds its partition into a
@@ -547,70 +535,44 @@ let scatter_partial_agg ?trace ~prune t (qs : Ast.query_stmt)
    retains the whole expiration axis, so one round of partials answers
    any tau >= now.  The answer's texp(e) is the merged sketch's
    horizon, i.e. the union rule computed in sketch space. *)
-let scatter_sketch ?trace t (qs : Ast.query_stmt) sql =
+let scatter_sketch ?trace ~prune t (qs : Ast.query_stmt) sql =
   Obs.Instrument.Counter.incr t.fanouts_total;
   let tau = query_tau t qs in
-  let replies =
-    fan_out ?trace t (slots t) (Wire.Sketch_shard { sql; ctx = ctx_of trace })
-  in
-  let rec gather acc = function
-    | [] -> Ok (List.rev acc)
-    | (_, Ok (Wire.Shard_sketch { columns; payload; _ })) :: rest ->
-      gather ((columns, payload) :: acc) rest
-    | (_, Ok (Wire.Err _ as e)) :: _ -> Error e
-    | (slot, Ok _) :: _ ->
-      Error (shard_failed slot "unexpected reply to a sketch request")
-    | (slot, Error msg) :: _ -> Error (shard_failed slot msg)
-  in
-  match gather [] replies with
+  match
+    scatter ?trace ?prune_at:(if prune then Some tau else None) t
+      (fragment ?trace ~kind:Wire.Sketch_partial sql)
+      (function
+        | Wire.Shard_reply { body = Wire.Sketch { columns; payload }; _ } ->
+          Some (columns, payload)
+        | _ -> None)
+  with
   | Error e -> e
   | Ok [] -> err "no shards"
-  | Ok ((columns, _) :: _ as parts) ->
-    let decoded =
-      List.fold_left
-        (fun acc (_, payload) ->
-          match acc with
-          | Error _ as e -> e
-          | Ok sketches ->
-            (match Sketch.Any.of_string payload with
-             | Ok s -> Ok (s :: sketches)
-             | Error m -> Error m))
-        (Ok []) parts
-    in
+  | Ok ((_, (columns, first)) :: rest) ->
+    let ( let* ) = Result.bind in
     let merged =
-      match decoded with
-      | Error _ as e -> e
-      | Ok [] -> Error "no sketch partials"
-      | Ok (s :: rest) ->
-        List.fold_left
-          (fun acc s' ->
-            match acc with
-            | Error _ as e -> e
-            | Ok a -> Sketch.Any.merge a s')
-          (Ok s) rest
+      List.fold_left
+        (fun acc (_, (_, payload)) ->
+          let* a = acc in
+          let* s = Sketch.Any.of_string payload in
+          Sketch.Any.merge a s)
+        (Sketch.Any.of_string first) rest
     in
     (match merged with
      | Error message -> err ("sketch partials: " ^ message)
      | Ok sketch ->
        let rows, horizon = Sketch.Any.query_rows ~tau sketch in
-       (match
-          merge_partials ~columns ~order_by:qs.Ast.order_by
-            ~limit:qs.Ast.limit [ rows ]
-        with
-        | listing ->
-          Wire.Rows
-            { columns; rows = listing; texp_e = horizon; recomputed = false }
-        | exception Failure message | exception Lower.Error message ->
-          err message))
+       answer ~columns qs ~texp_e:horizon ~recomputed:false [ rows ])
 
 (* ---------- routed writes and broadcasts ---------- *)
 
+(* A shard's reply as the client-facing response. *)
 let unwrap = function
-  | Ok (Wire.Shard_rows { columns; rows; texp_e; recomputed; _ }) ->
+  | Wire.Shard_reply
+      { body = Wire.Rows { columns; rows; texp_e; recomputed }; _ } ->
     Wire.Rows { columns; rows; texp_e; recomputed }
-  | Ok (Wire.Shard_ack { message; _ }) -> Wire.Ok_msg message
-  | Ok r -> r
-  | Error msg -> err msg
+  | Wire.Shard_reply { body = Wire.Ack message; _ } -> Wire.Ok_msg message
+  | r -> r
 
 let slot_for t shard_id =
   List.find_opt (fun s -> s.shard.Wire.shard_id = shard_id) (slots t)
@@ -622,28 +584,33 @@ let route_insert ?trace t ~key sql =
   let owner = Wire.shard_owner (shard_map t) key in
   match slot_for t owner with
   | None -> err (Printf.sprintf "no slot for owner shard %d" owner)
-  | Some slot -> unwrap (exec_shard ?trace t slot sql)
+  | Some slot ->
+    (match exec_shard ?trace t slot sql with
+     | Ok reply -> unwrap reply
+     | Error message -> shard_failed slot message)
 
 (* Broadcast a statement to every shard, sequentially (writes are rare
    and ADVANCE must reach everyone anyway).  The first failure is
-   reported with its shard id; there is no cross-shard atomicity —
-   cluster v1 trades transactions for the expiration calculus, which
-   needs none. *)
+   reported with its shard id — a dead shard as [Shard_failed], a live
+   shard's refusal as its statement error; there is no cross-shard
+   atomicity — cluster v1 trades transactions for the expiration
+   calculus, which needs none. *)
 let broadcast ?trace t sql ~merge =
   let rec go acc = function
     | [] -> merge (List.rev acc)
     | slot :: rest ->
       (match exec_shard ?trace t slot sql with
-       | Ok (Wire.Err { message; _ }) | Error message ->
+       | Ok (Wire.Err { message; _ }) ->
          err
            (Printf.sprintf "shard %d: %s" slot.shard.Wire.shard_id message)
-       | Ok reply -> go ((slot, reply) :: acc) rest)
+       | Error message -> shard_failed slot message
+       | Ok reply -> go ((slot, unwrap reply) :: acc) rest)
   in
   go [] (slots t)
 
 let merge_acks replies =
   match replies with
-  | (_, Wire.Shard_ack { message; _ }) :: _ ->
+  | (_, Wire.Ok_msg message) :: _ ->
     Wire.Ok_msg
       (Printf.sprintf "%s (on %d shard(s))" message (List.length replies))
   | _ -> err "unexpected reply to a broadcast statement"
@@ -655,7 +622,7 @@ let merge_texts replies =
           (fun (slot, reply) ->
             let body =
               match reply with
-              | Wire.Shard_ack { message; _ } -> message
+              | Wire.Ok_msg message -> message
               | other -> Wire.render_response other
             in
             Printf.sprintf "--- shard %d ---\n%s" slot.shard.Wire.shard_id
@@ -667,7 +634,7 @@ let forward_to_any ?trace t sql =
     | [] -> err "no reachable shard"
     | slot :: rest ->
       (match exec_shard ?trace t slot sql with
-       | Ok reply -> unwrap (Ok reply)
+       | Ok reply -> unwrap reply
        | Error _ -> go rest)
   in
   go (slots t)
@@ -694,38 +661,28 @@ let coord_catalog ?trace t : Lower.catalog =
  fun name -> table_columns ?trace t name
 
 let cluster_count ?trace t name =
-  let replies =
-    fan_out ?trace t (slots t)
-      (Wire.Exec_shard
-         { sql = Printf.sprintf "SELECT COUNT(*) FROM %s" name;
-           ctx = ctx_of trace
-         })
-  in
-  match gather_rows replies with
-  | Error e -> Error e
-  | Ok parts ->
-    Ok
-      (List.fold_left
-         (fun acc (_, rows, _, _) ->
-           List.fold_left
-             (fun acc (vs, _) ->
-               match vs with
-               | [ Value.Int n ] -> acc + n
-               | _ -> acc)
-             acc rows)
-         0 parts)
+  Result.map
+    (List.fold_left
+       (fun acc (_, (_, rows, _, _)) ->
+         List.fold_left
+           (fun acc (vs, _) ->
+             match vs with
+             | [ Value.Int n ] -> acc + n
+             | _ -> acc)
+           acc rows)
+       0)
+    (scatter ?trace t
+       (fragment ?trace (Printf.sprintf "SELECT COUNT(*) FROM %s" name))
+       rows_part)
 
 (* A table's complete, cluster-wide contents with per-row texps —
    partitions are disjoint, so plain concatenation is the union. *)
 let gather_table_rows ?trace t name =
-  let replies =
-    fan_out ?trace t (slots t)
-      (Wire.Exec_shard
-         { sql = Printf.sprintf "SELECT * FROM %s" name; ctx = ctx_of trace })
-  in
-  match gather_rows replies with
-  | Error e -> Error e
-  | Ok parts -> Ok (List.concat_map (fun (_, rows, _, _) -> rows) parts)
+  Result.map
+    (List.concat_map (fun (_, (_, rows, _, _)) -> rows))
+    (scatter ?trace t
+       (fragment ?trace (Printf.sprintf "SELECT * FROM %s" name))
+       rows_part)
 
 (* The lowered two-table join under any Project/Select wrappers. *)
 let rec find_join = function
@@ -751,50 +708,6 @@ let co_partitioned p ~left_arity =
    coordinator gathers and computes instead of multiplying the traffic
    by the fleet size. *)
 let broadcast_limit = 4096
-
-(* Broadcast-side hash join: ship the small side's complete contents to
-   every shard, which joins them against its local fragment of the
-   other side.  Probe fragments are disjoint, so the union of per-shard
-   results is the exact join; a self-join (both sides the same table)
-   degenerates to every contacted shard computing the full join, which
-   the union-rule merge deduplicates. *)
-let scatter_broadcast_join ?trace ~prune t (qs : Ast.query_stmt) ~build_table
-    ~build_rows sql =
-  Obs.Instrument.Counter.incr t.fanouts_total;
-  let tau = query_tau t qs in
-  let all = slots t in
-  let contacted, pruned =
-    if not prune then (all, [])
-    else begin
-      match List.partition (fun s -> not (prunable s tau)) all with
-      | [], everyone -> ([ List.hd everyone ], List.tl everyone)
-      | split -> split
-    end
-  in
-  List.iter
-    (fun (_ : slot) -> Obs.Instrument.Counter.incr t.pruned_total)
-    pruned;
-  let replies =
-    fan_out ?trace t contacted
-      (Wire.Join_shard { sql; build_table; build_rows; ctx = ctx_of trace })
-  in
-  match gather_rows replies with
-  | Error e -> e
-  | Ok [] -> err "no shards"
-  | Ok ((columns, _, _, _) :: _ as parts) ->
-    (match
-       merge_partials ~columns ~order_by:qs.Ast.order_by ~limit:qs.Ast.limit
-         (List.map (fun (_, rows, _, _) -> rows) parts)
-     with
-     | listing ->
-       Wire.Rows
-         { columns;
-           rows = listing;
-           texp_e = Time.min_list (List.map (fun (_, _, te, _) -> te) parts);
-           recomputed = false
-         }
-     | exception Failure message | exception Lower.Error message ->
-       err message)
 
 (* The non-distributable remainder (projected EXCEPT/INTERSECT,
    aggregates over joins, oversized broadcast joins, AT-joins): gather
@@ -860,6 +773,12 @@ let gather_compute ?trace t (qs : Ast.query_stmt) =
         | Ok (Interp.Msg m) -> Wire.Ok_msg m
         | Error m -> err m))
 
+(* Broadcast-side hash join: ship the small side's complete contents to
+   every shard, which joins them against its local fragment of the
+   other side.  Probe fragments are disjoint, so the union of per-shard
+   results is the exact join; a self-join (both sides the same table)
+   degenerates to every contacted shard computing the full join, which
+   the union-rule merge deduplicates. *)
 let broadcast_join ?trace ~prune t (qs : Ast.query_stmt)
     (compiled : Lower.compiled) sql =
   match find_join compiled.Lower.expr with
@@ -870,12 +789,12 @@ let broadcast_join ?trace ~prune t (qs : Ast.query_stmt)
      | Ok nl, Ok nr ->
        if min nl nr > broadcast_limit then gather_compute ?trace t qs
        else
-         let build = if nl <= nr then l else r in
-         (match gather_table_rows ?trace t build with
+         let build_table = if nl <= nr then l else r in
+         (match gather_table_rows ?trace t build_table with
           | Error e -> e
           | Ok build_rows ->
-            scatter_broadcast_join ?trace ~prune t qs ~build_table:build
-              ~build_rows sql))
+            scatter_gather ?trace ~prune t qs sql
+              ~kind:(Wire.Broadcast_join { build_table; build_rows })))
 
 (* Route a query none of the shard-local strategies covers.  In order:
    grouped aggregates that decompose into per-shard slice partials;
@@ -938,7 +857,7 @@ let exec_parsed ?trace ~prune t stmt sql =
   match stmt with
   | Ast.Query qs ->
     if distributable qs.Ast.q then scatter_gather ?trace ~prune t qs sql
-    else if sketchable qs.Ast.q then scatter_sketch ?trace t qs sql
+    else if sketchable qs.Ast.q then scatter_sketch ?trace ~prune t qs sql
     else route_complex ?trace ~prune t qs sql
   | Ast.Insert { values = key :: _; _ } -> route_insert ?trace t ~key sql
   | Ast.Insert { values = []; _ } -> err "INSERT needs at least one value"
@@ -1441,7 +1360,7 @@ let add_shard t endpoint =
                  (Printf.sprintf "CREATE TABLE %s (%s)" table
                     (String.concat ", " columns))
              with
-             | Ok (Wire.Shard_ack _) -> Ok ()
+             | Ok (Wire.Shard_reply { body = Wire.Ack _; _ }) -> Ok ()
              | Ok (Wire.Err { message; _ }) | Error message ->
                Error
                  (Printf.sprintf "create %s on joining shard: %s" table
@@ -1455,7 +1374,7 @@ let add_shard t endpoint =
     match Time.to_int_opt (locked t (fun () -> t.now)) with
     | Some n when n > 0 ->
       (match exec_shard t newcomer (Printf.sprintf "ADVANCE TO %d" n) with
-       | Ok (Wire.Shard_ack _) -> Ok ()
+       | Ok (Wire.Shard_reply { body = Wire.Ack _; _ }) -> Ok ()
        | Ok (Wire.Err { message; _ }) | Error message ->
          Error (Printf.sprintf "clock sync on joining shard: %s" message)
        | Ok _ -> Error "unexpected reply to ADVANCE TO")

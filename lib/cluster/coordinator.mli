@@ -12,7 +12,8 @@
     {2 Pruning invariant}
 
     The coordinator caches each shard's {!Wire.partition_texp} summary,
-    refreshed by {e every} shard reply (query, ack, heartbeat pong).  A
+    refreshed by {e every} [Shard_reply] (rows, acks, aggregate and
+    sketch partials, heartbeat pongs).  A
     shard is skipped from a fan-out at evaluation time [tau] when its
     cached summary proves the partition empty:
 
@@ -79,8 +80,9 @@ val exec :
       per-shard reports.
     - Only per-node features — views, triggers, constraints,
       [CHECKPOINT] — are refused ([Err]).
-    - A shard that dies or answers garbage mid-gather surfaces as one
-      [Err] with code [Shard_failed] naming the shard.
+    - A shard that dies or answers garbage — mid-gather, or on a
+      routed write or broadcast — surfaces as one [Err] with code
+      [Shard_failed] naming the shard.
 
     With [trace], spans record there and the context ships to every
     contacted shard ([rpc:shard-<id>] spans); without, a fresh trace is

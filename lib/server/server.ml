@@ -543,28 +543,27 @@ let handle_statement ?trace ?text t stmt =
         | exception Invalid_argument message ->
           Wire.Err { code = Wire.Exec_error; message })
 
-(* Every EXEC is traced: parse -> rwlock wait -> interpreter stages
-   (lower, eval with per-operator spans, storage).  The finished trace
-   feeds the stage/operator histograms, the slow-query log and the
-   trace store whether the statement succeeded or failed — failing
-   statements are exactly the ones worth finding in the log.  When the
-   request carried a trace context ([Exec_traced]), the spans record
-   under the caller's trace id with the caller's span as their root
-   parent, so a fan-out request yields one cross-node trace. *)
-let handle_exec ?ctx t sql =
+(* Every EXEC — and every shard fragment — is traced: parse -> rwlock
+   wait -> interpreter stages (lower, eval with per-operator spans,
+   storage).  The finished trace feeds the stage/operator histograms,
+   the slow-query log and the trace store whether the statement
+   succeeded or failed — failing statements are exactly the ones worth
+   finding in the log.  When the request carried a trace context
+   ([Exec_traced], [Fragment]), the spans record under the caller's
+   trace id with the caller's span as their root parent, so a fan-out
+   request yields one cross-node trace. *)
+let traced ?ctx t sql run =
   let tr =
-    match (ctx : Wire.trace_ctx option) with
+    match ctx with
     | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
+    | Some ctx -> Wire.trace_of_ctx ctx
   in
   let trace = Some tr in
   let response =
     match
       Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
     with
-    | stmt -> handle_statement ?trace ~text:sql t stmt
+    | stmt -> run trace stmt
     | exception Parser.Error (message, off) ->
       Wire.Err
         { code = Wire.Parse_error;
@@ -576,6 +575,10 @@ let handle_exec ?ctx t sql =
     ~spans:(Obs.Trace.spans tr);
   Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
   response
+
+let handle_exec ?ctx t sql =
+  traced ?ctx t sql (fun trace stmt ->
+      handle_statement ?trace ~text:sql t stmt)
 
 let strip_statement s =
   let s = String.trim s in
@@ -763,195 +766,94 @@ let handle_shard_install t ~map ~self_id =
             (Printf.sprintf "installed shard map v%d as shard %d"
                map.Wire.map_version self_id))
 
-(* An EXEC issued by a coordinator: same execution path as [Exec] /
-   [Exec_traced], but successful replies carry the shard id and the
-   partition summary so every contact — reads and writes alike —
-   refreshes the coordinator's pruning cache. *)
-let handle_exec_shard t ~sql ~ctx =
-  match handle_exec ?ctx t sql with
-  | Wire.Rows { columns; rows; texp_e; recomputed } ->
-    (match summary_under_lock t with
-     | Error e -> e
-     | Ok partition ->
-       Wire.Shard_rows
-         { shard_id = shard_self t; partition; columns; rows; texp_e;
-           recomputed })
-  | Wire.Ok_msg message ->
-    (match summary_under_lock t with
-     | Error e -> e
-     | Ok partition ->
-       Wire.Shard_ack { shard_id = shard_self t; partition; message })
-  | other -> other
-
 let handle_shard_ping t =
   match summary_under_lock t with
   | Error e -> e
   | Ok partition ->
-    let shard_id, pong_map_version =
+    let shard_id, map_version =
       locked_state t (fun () ->
           match t.shard with
           | Some s -> (s.Wire.self_id, s.Wire.installed_map.Wire.map_version)
           | None -> (-1, 0))
     in
-    Wire.Shard_pong
-      { shard_id;
-        pong_map_version;
-        now = Database.now (Interp.database t.interp);
-        partition
-      }
+    let now = Database.now (Interp.database t.interp) in
+    Wire.Shard_reply
+      { shard_id; partition; body = Wire.Pong { map_version; now } }
 
-(* A coordinator's request for a sketch partial: evaluate the
-   APPROX_COUNT/SAMPLE query's child over this shard's partition and
-   ship the folded sketch — constant-size on the wire however many rows
-   the partition holds.  Traced like any EXEC so the fan-out shows up
-   as one cross-node trace with a [sketch-query] span per shard. *)
-let handle_sketch_shard t ~sql ~ctx =
-  let tr =
-    match (ctx : Wire.trace_ctx option) with
-    | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
+(* A coordinator's unit of work.  A [Statement] takes the ordinary
+   [handle_statement] path — write lock, read-only-replica check and
+   subscription delivery included — and its reply then gains the shard
+   id and partition summary, so every contact, reads and writes alike,
+   refreshes the coordinator's pruning cache.  The partial kinds
+   evaluate the query over this shard's partition under the read lock:
+   a broadcast join against the shipped build rows, the expiration-slice
+   partials of a grouped aggregate, or the folded sketch of an
+   APPROX_COUNT/SAMPLE query (whose AT is irrelevant here: the partial
+   covers the whole expiration axis, and the coordinator owns the tau it
+   queries the merged sketch at). *)
+let handle_fragment t ~sql ~kind ~ctx =
+  let partial =
+    match (kind : Wire.fragment_kind) with
+    | Wire.Statement -> None
+    | Wire.Broadcast_join { build_table; build_rows } ->
+      Some
+        (fun trace qs : Wire.reply_body ->
+          let columns, rows, texp_e =
+            Interp.join_broadcast ?trace t.interp qs ~table:build_table
+              ~rows:build_rows
+          in
+          Wire.Rows { columns; rows; texp_e; recomputed = false })
+    | Wire.Agg_partial ->
+      Some
+        (fun trace qs ->
+          let columns, groups, child_texp =
+            Interp.aggregate_partial ?trace t.interp qs
+          in
+          Wire.Agg { columns; child_texp; groups })
+    | Wire.Sketch_partial ->
+      Some
+        (fun trace (qs : Ast.query_stmt) ->
+          let columns, sketch = Interp.sketch_partial ?trace t.interp qs.q in
+          Wire.Sketch
+            { columns; payload = Expirel_sketch.Any.to_string sketch })
   in
-  let trace = Some tr in
-  let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
-    with
-    | exception Parser.Error (message, off) ->
-      Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
-        }
-    | Ast.Query { q; at = _; _ } ->
-      (* AT is irrelevant here: the shard always folds its current
-         snapshot, the partial covers the whole expiration axis, and
-         the coordinator owns the tau it queries the merged sketch at. *)
-      if not (acquire t ~write:false) then
-        Wire.Err
-          { code = Wire.Timeout;
-            message =
-              Printf.sprintf "no lock within %gs" t.config.request_timeout
-          }
-      else
-        Fun.protect
-          ~finally:(fun () -> release t ~write:false)
-          (fun () ->
-            match Interp.sketch_partial ?trace t.interp q with
-            | columns, sketch ->
-              Wire.Shard_sketch
-                { shard_id = shard_self t;
-                  partition = partition_summary t;
-                  columns;
-                  payload = Expirel_sketch.Any.to_string sketch
-                }
-            | exception Errors.Unknown_relation name ->
-              Wire.Err
-                { code = Wire.Exec_error;
-                  message = "unknown relation " ^ name
-                }
-            | exception Lower.Error message | exception Failure message ->
-              Wire.Err { code = Wire.Exec_error; message })
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Sketch_shard expects an APPROX_COUNT/SAMPLE query"
-        }
+  let reply partition body =
+    Wire.Shard_reply { shard_id = shard_self t; partition; body }
   in
-  Metrics.observe_trace t.metrics ~statement:sql
-    ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
-    ~spans:(Obs.Trace.spans tr);
-  Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
-  response
-
-(* The shard-side halves of distributed grouped aggregates and
-   broadcast joins.  Both mirror [handle_sketch_shard]: reconstruct the
-   coordinator's trace, parse, evaluate under the read lock, map the
-   interpreter's exceptions onto typed wire errors. *)
-let with_shard_trace t ~sql ~ctx body =
-  let tr =
-    match (ctx : Wire.trace_ctx option) with
-    | None -> Obs.Trace.create ()
-    | Some { trace_id; parent_span = 0 } -> Obs.Trace.create ~trace_id ()
-    | Some { trace_id; parent_span } ->
-      Obs.Trace.create ~trace_id ~parent_span ()
+  let reply_after body =
+    match summary_under_lock t with
+    | Error e -> e
+    | Ok partition -> reply partition body
   in
-  let trace = Some tr in
-  let response =
-    match
-      Obs.Trace.span trace "parse" (fun () -> Interp.parse t.interp sql)
-    with
-    | exception Parser.Error (message, off) ->
+  traced ?ctx t sql @@ fun trace stmt ->
+  match (partial, stmt) with
+  | None, _ ->
+    (match handle_statement ?trace ~text:sql t stmt with
+     | Wire.Rows { columns; rows; texp_e; recomputed } ->
+       reply_after (Wire.Rows { columns; rows; texp_e; recomputed })
+     | Wire.Ok_msg message -> reply_after (Wire.Ack message)
+     | other -> other)
+  | Some run, Ast.Query qs ->
+    if not (acquire t ~write:false) then
       Wire.Err
-        { code = Wire.Parse_error;
-          message = Printf.sprintf "at offset %d: %s" off message
+        { code = Wire.Timeout;
+          message =
+            Printf.sprintf "no lock within %gs" t.config.request_timeout
         }
-    | statement ->
-      if not (acquire t ~write:false) then
-        Wire.Err
-          { code = Wire.Timeout;
-            message =
-              Printf.sprintf "no lock within %gs" t.config.request_timeout
-          }
-      else
-        Fun.protect
-          ~finally:(fun () -> release t ~write:false)
-          (fun () ->
-            match body trace statement with
-            | response -> response
-            | exception Errors.Unknown_relation name ->
-              Wire.Err
-                { code = Wire.Exec_error;
-                  message = "unknown relation " ^ name
-                }
-            | exception Lower.Error message | exception Failure message ->
-              Wire.Err { code = Wire.Exec_error; message })
-  in
-  Metrics.observe_trace t.metrics ~statement:sql
-    ~trace_id:(Obs.Trace.trace_id tr) ~total_us:(Obs.Trace.elapsed_us tr)
-    ~spans:(Obs.Trace.spans tr);
-  Obs.Trace_store.finish t.trace_store ~node:t.config.node_name ~name:sql tr;
-  response
-
-let handle_agg_shard t ~sql ~ctx =
-  with_shard_trace t ~sql ~ctx (fun trace -> function
-    | Ast.Query qs ->
-      let columns, partial, child_texp =
-        Interp.aggregate_partial ?trace t.interp qs
-      in
-      Wire.Shard_agg
-        { shard_id = shard_self t;
-          partition = partition_summary t;
-          columns;
-          child_texp;
-          groups = partial
-        }
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Agg_shard expects a grouped aggregate query"
-        })
-
-let handle_join_shard t ~sql ~build_table ~build_rows ~ctx =
-  with_shard_trace t ~sql ~ctx (fun trace -> function
-    | Ast.Query qs ->
-      let columns, rows, texp_e =
-        Interp.join_broadcast ?trace t.interp qs ~table:build_table
-          ~rows:build_rows
-      in
-      Wire.Shard_rows
-        { shard_id = shard_self t;
-          partition = partition_summary t;
-          columns;
-          rows;
-          texp_e;
-          recomputed = false
-        }
-    | _ ->
-      Wire.Err
-        { code = Wire.Exec_error;
-          message = "Join_shard expects a query"
-        })
+    else
+      Fun.protect
+        ~finally:(fun () -> release t ~write:false)
+        (fun () ->
+          match run trace qs with
+          | body -> reply (partition_summary t) body
+          | exception Errors.Unknown_relation name ->
+            Wire.Err
+              { code = Wire.Exec_error; message = "unknown relation " ^ name }
+          | exception Lower.Error message | exception Failure message ->
+            Wire.Err { code = Wire.Exec_error; message })
+  | Some _, _ ->
+    Wire.Err
+      { code = Wire.Exec_error; message = "a partial fragment expects a query" }
 
 let first_column tuple =
   match Tuple.to_list tuple with
@@ -1041,10 +943,10 @@ let handle_ingest_rows t ~table ~ingest =
                  Printf.sprintf " (%d already expired)" !dropped
                else "")
           in
-          Wire.Shard_ack
+          Wire.Shard_reply
             { shard_id = shard_self t;
               partition = partition_summary t;
-              message
+              body = Wire.Ack message
             })
 
 let handle_purge_moved t table =
@@ -1081,12 +983,13 @@ let handle_purge_moved t table =
                    | Some store -> Durable.delete store table tuple
                    | None -> Database.delete db table tuple))
               doomed;
-            Wire.Shard_ack
+            Wire.Shard_reply
               { shard_id = self_id;
                 partition = partition_summary t;
-                message =
-                  Printf.sprintf "purged %d moved row(s) from %s"
-                    (List.length doomed) table
+                body =
+                  Wire.Ack
+                    (Printf.sprintf "purged %d moved row(s) from %s"
+                       (List.length doomed) table)
               })
 
 let handle_request t conn = function
@@ -1130,11 +1033,7 @@ let handle_request t conn = function
               })
   | Wire.Shard_map_req -> Wire.Shard_map_reply (shard_identity t)
   | Wire.Shard_install { map; self_id } -> handle_shard_install t ~map ~self_id
-  | Wire.Exec_shard { sql; ctx } -> handle_exec_shard t ~sql ~ctx
-  | Wire.Sketch_shard { sql; ctx } -> handle_sketch_shard t ~sql ~ctx
-  | Wire.Agg_shard { sql; ctx } -> handle_agg_shard t ~sql ~ctx
-  | Wire.Join_shard { sql; build_table; build_rows; ctx } ->
-    handle_join_shard t ~sql ~build_table ~build_rows ~ctx
+  | Wire.Fragment { sql; kind; ctx } -> handle_fragment t ~sql ~kind ~ctx
   | Wire.Shard_ping -> handle_shard_ping t
   | Wire.Extract_moving table -> handle_extract_moving t table
   | Wire.Ingest_rows { table; ingest } -> handle_ingest_rows t ~table ~ingest
@@ -1170,13 +1069,7 @@ let serve_replication t conn store ~replica_id ~position ~ctx =
      under the follower's trace.  The tail-following loop is unbounded,
      so the trace finishes (into this node's trace store) right after
      that first shipment rather than when the session ends. *)
-  let tr =
-    Option.map
-      (fun ({ trace_id; parent_span } : Wire.trace_ctx) ->
-        if parent_span = 0 then Obs.Trace.create ~trace_id ()
-        else Obs.Trace.create ~trace_id ~parent_span ())
-      ctx
-  in
+  let tr = Option.map Wire.trace_of_ctx ctx in
   let finish_trace () =
     Option.iter
       (fun tr ->

@@ -101,9 +101,11 @@ val store : t -> Durable.t option
 val shard_identity : t -> Wire.shard_identity option
 (** The shard map and shard id a coordinator installed via
     [Shard_install] — [None] until a coordinator claims this node.  A
-    node holding an identity answers [Exec_shard] with its shard id and
-    partition texp summary piggybacked, and serves the rebalance
-    requests ([Extract_moving] / [Ingest_rows] / [Purge_moved]). *)
+    node holding an identity answers every [Fragment] (and
+    [Shard_ping], [Ingest_rows], [Purge_moved]) with a [Shard_reply]
+    carrying that shard id and its partition texp summary, and serves
+    the rebalance requests ([Extract_moving] / [Ingest_rows] /
+    [Purge_moved]). *)
 
 val apply_records : t -> Wal.record list -> (unit, string) result
 (** Applies a shipped [Repl_records] batch under the write lock, with

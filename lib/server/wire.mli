@@ -60,31 +60,31 @@ val version : int
     pre-v5 shard a diagnosable mismatch.  Requests: [Shard_map_req]
     (13), [Shard_install] (14, the coordinator's handshake pushing a
     versioned {!shard_map} plus the node's own shard id — re-sent with
-    a higher version on rebalance), [Exec_shard] (15, an [Exec] whose
+    a higher version on rebalance), exec-shard (15, an [Exec] whose
     reply piggybacks the shard id and the {!partition_texp} summary the
     coordinator's pruning feeds on), [Shard_ping] (16, the cluster
     heartbeat), and the ownership-transfer triple [Extract_moving]
     (17) / [Ingest_rows] (18) / [Purge_moved] (19).  Responses:
-    [Shard_map_reply] (15), [Shard_rows] (16), [Shard_ack] (17),
-    [Shard_pong] (18) and [Moved_rows] (19).
+    [Shard_map_reply] (15), shard-rows (16), shard-ack (17),
+    shard-pong (18) and [Moved_rows] (19).
     v6 — distributed approximate aggregates.  New tags only, sent
-    unprompted by coordinators: request [Sketch_shard] (20, an
-    [Exec_shard] whose reply carries a serialised sketch partial
-    instead of rows) and response [Shard_sketch] (20, the shard's
-    partial: an opaque {!Expirel_sketch.Any} encoding plus the answer's
-    column labels and the usual partition summary).
+    unprompted by coordinators: request sketch-shard (20, an
+    exec-shard whose reply carries a serialised sketch partial instead
+    of rows) and response shard-sketch (20, the shard's partial: an
+    opaque {!Expirel_sketch.Any} encoding plus the answer's column
+    labels and the usual partition summary).
     v7 — distributed grouped aggregates and broadcast joins.  New tags
-    only, sent unprompted by coordinators: requests [Agg_shard] (21, an
-    [Exec_shard] for a decomposable GROUP BY/aggregate query whose
-    reply carries expiration-slice partials instead of rows — AVG
-    travels as SUM + COUNT inside the slices, never pre-averaged) and
-    [Join_shard] (22, a broadcast join: the small build side's complete
-    rows ride along and the shard joins them against its local probe
-    fragment, replying with ordinary [Shard_rows]); response
-    [Shard_agg] (21, the shard's per-group slice partials plus the
-    child's [texp(e)]).  Also adds error code 8, [Shard_failed]: the
-    single typed error a coordinator surfaces when a shard dies or
-    answers garbage mid-scatter-gather.
+    only, sent unprompted by coordinators: requests agg-shard (21, an
+    exec-shard for a decomposable GROUP BY/aggregate query whose reply
+    carries expiration-slice partials instead of rows — AVG travels as
+    SUM + COUNT inside the slices, never pre-averaged) and join-shard
+    (22, a broadcast join: the small build side's complete rows ride
+    along and the shard joins them against its local probe fragment,
+    replying with ordinary shard-rows); response shard-agg (21, the
+    shard's per-group slice partials plus the child's [texp(e)]).
+    Also adds error code 8, [Shard_failed]: the single typed error a
+    coordinator surfaces when a shard dies or answers garbage
+    mid-scatter-gather.
     v8 — expiration-horizon telemetry.  This bump is {e required}: the
     [slow_query] body changed — each entry now leads with the trace id
     it was recorded under, so slow-log entries join against [TRACES]
@@ -94,6 +94,18 @@ val version : int
     gathering cluster-wide horizons) and response [Horizon_reply] (22,
     the per-table bucketed forecast plus fan-out and churn figures,
     merged bucket-wise across shards).
+    v9 — one shard RPC.  This bump is {e required}: the four shard
+    requests and five shard replies collapse into one request and one
+    reply, so v8 coordinators and shards cannot talk to v9 ones.
+    Retired request tags: exec-shard (15), sketch-shard (20),
+    agg-shard (21) and join-shard (22).  Retired response tags:
+    shard-rows (16), shard-ack (17), shard-pong (18), shard-sketch
+    (20) and shard-agg (21).  New tags: request [Fragment] (24: the
+    statement text, a {!fragment_kind} sub-tag and the optional trace
+    context) and response [Shard_reply] (23: the shard id, the
+    {!partition_texp} summary and a {!reply_body} sub-tag).  Retired
+    numbers are not reused, so a v8 payload whose version byte is
+    patched to 9 still fails to decode.
 
     On decode failure, a peer should check {!payload_version}: when the
     sender speaks a different version, answer
@@ -198,6 +210,14 @@ type trace_ctx = {
 (** Propagated trace context: a node receiving one records its spans
     under the caller's trace instead of minting a fresh id. *)
 
+val ctx_of_trace : Expirel_obs.Trace.t -> trace_ctx
+(** The context a call made from inside [trace] ships: the trace's id
+    and its innermost open span ([0] when none is open). *)
+
+val trace_of_ctx : trace_ctx -> Expirel_obs.Trace.t
+(** The receiving side: a fresh trace recording under the caller's id,
+    nested below [parent_span] unless that is [0]. *)
+
 type trace_entry = {
   node : string;  (** name of the node that recorded the trace *)
   entry_trace_id : string;
@@ -248,9 +268,9 @@ type partition_texp = {
   max_texp : Time.t;  (** max over live tuples; [Inf] when none *)
 }
 (** The {!Expirel_core.Relation} texp bounds lifted to a whole shard:
-    piggybacked on every [Exec_shard] reply and [Shard_pong] so the
-    coordinator can prove a partition empty at some [tau]
-    ([live_rows = 0], or [max_texp <= tau]) without contacting it. *)
+    piggybacked on every [Shard_reply] so the coordinator can prove a
+    partition empty at some [tau] ([live_rows = 0], or
+    [max_texp <= tau]) without contacting it. *)
 
 val shard_owner : shard_map -> Value.t -> int
 (** [shard_owner map key] is the id of the shard owning rows whose
@@ -258,6 +278,35 @@ val shard_owner : shard_map -> Value.t -> int
     modulo the shard count.  Pure and deterministic across processes —
     this single definition is the routing contract of the protocol.
     @raise Invalid_argument on an empty map *)
+
+(** What a shard does with a [Fragment]'s statement.  Every distributed
+    answer is a union of per-shard partials (the paper's union rule:
+    max [texp] per tuple, min [texp(e)] overall); the kind picks which
+    partial the shard ships back. *)
+type fragment_kind =
+  | Statement
+      (** run the statement as an [Exec] would (write lock, replica
+          check, subscription delivery included); queries answer with
+          [Rows], other statements with [Ack] *)
+  | Broadcast_join of {
+      build_table : string;
+      build_rows : (Value.t list * Time.t) list;
+    }
+      (** evaluate the query with [build_rows] — the small side's
+          complete, cluster-wide contents — standing in for
+          [build_table], probing the shard's own fragment of the other
+          table; answers with [Rows].  Probe fragments are disjoint, so
+          the union of per-shard results is the exact join. *)
+  | Agg_partial
+      (** evaluate a decomposable GROUP BY/aggregate query's child over
+          the shard's partition and answer with its expiration-slice
+          partials ([Agg]) — one slice per distinct expiration time per
+          group, with AVG travelling as its SUM and COUNT components *)
+  | Sketch_partial
+      (** fold an [APPROX_COUNT]/[SAMPLE] query's child into a
+          bounded-memory sketch and answer with its serialisation
+          ([Sketch]) — constant-size on the wire however many rows the
+          partition holds *)
 
 type request =
   | Exec of string  (** one sqlx statement *)
@@ -300,14 +349,10 @@ type request =
       (** the coordinator's handshake: install [map] and identify as
           shard [self_id].  Refused when [self_id] is not in the map or
           [map.map_version] is lower than the installed one. *)
-  | Exec_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec] as issued by a coordinator: queries answer with
-          [Shard_rows], other statements with [Shard_ack] — both
-          piggyback the {!partition_texp} summary so every reply
-          refreshes the coordinator's pruning cache *)
   | Shard_ping
-      (** cluster heartbeat ([Shard_pong]): refreshes the partition
-          summary and reports the node's map version and clock *)
+      (** cluster heartbeat ([Shard_reply] with a [Pong] body):
+          refreshes the partition summary and reports the node's map
+          version and clock *)
   | Extract_moving of string
       (** rebalance, step one: return the named table's rows that the
           {e installed} map assigns to some other shard, grouped by
@@ -321,38 +366,52 @@ type request =
       (** rebalance, step three: delete the named table's rows the
           installed map no longer assigns here — only after the new
           owners acknowledged their [Ingest_rows] *)
-  | Sketch_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec_shard] for an [APPROX_COUNT]/[SAMPLE] query: the shard
-          evaluates the query's child over its own partition, folds it
-          into a bounded-memory sketch and replies with the serialised
-          partial ([Shard_sketch]) instead of rows — constant-size on
-          the wire regardless of partition cardinality *)
-  | Agg_shard of { sql : string; ctx : trace_ctx option }
-      (** [Exec_shard] for a decomposable GROUP BY/aggregate query: the
-          shard evaluates the aggregate's child over its own partition,
-          condenses it into per-group expiration-slice partials
-          ({!Expirel_exec.Partial_agg}) and replies with [Shard_agg] —
-          one slice per distinct expiration time per group on the wire,
-          regardless of member count, with AVG travelling as its SUM
-          and COUNT components *)
-  | Join_shard of {
-      sql : string;
-      build_table : string;
-      build_rows : (Value.t list * Time.t) list;
-      ctx : trace_ctx option;
-    }
-      (** broadcast join: the shard evaluates [sql] with [build_rows]
-          — the small side's complete, cluster-wide contents —
-          standing in for [build_table], probing its own fragment of
-          the other table, and replies with ordinary [Shard_rows];
-          probe fragments are disjoint, so the coordinator's union of
-          per-shard results is the exact join *)
+  | Fragment of { sql : string; kind : fragment_kind; ctx : trace_ctx option }
+      (** the one coordinator-to-shard work request: run [sql] as
+          [kind] says, recording spans under [ctx] when present.  Every
+          success answers with [Shard_reply], so each contact refreshes
+          the coordinator's pruning cache. *)
   | Horizon of string option
       (** the forward expiration forecast ([Horizon_reply]): per-table
           bucketed counts of live rows by ticks-to-expiry, the
           subscription fan-out forecast for the next window, and churn
           rates.  [Some table] restricts the profile to one table
           (unknown tables answer [Err]). *)
+
+(** The payload of a [Shard_reply]. *)
+type reply_body =
+  | Rows of {
+      columns : string list;
+      rows : (Value.t list * Time.t) list;
+      texp_e : Time.t;
+      recomputed : bool;
+    }
+      (** a [Statement] query's or a [Broadcast_join]'s rows; the
+          coordinator merges the row sets and reports the min of the
+          partial [texp_e]s (the paper's union rule — exact here
+          because hash partitions are disjoint) *)
+  | Ack of string  (** a non-query statement's or a rebalance step's message *)
+  | Agg of {
+      columns : string list;
+      child_texp : Time.t;  (** [texp(e)] of the shard-local child *)
+      groups : Expirel_exec.Partial_agg.group list;
+    }
+      (** grouped-aggregate slice partials the coordinator merges with
+          {!Expirel_exec.Partial_agg.merge_all} and finalises once —
+          the slice components (counts, sums, extrema) are
+          partition-decomposable and the finalisation is shared code,
+          so the distributed rows and texps equal a single node's *)
+  | Sketch of { columns : string list; payload : string }
+      (** [payload] is an opaque {!Expirel_sketch.Any.to_string}
+          encoding the coordinator decodes, merges across shards and
+          queries at its own tau; the merged answer's [texp_e] is the
+          merged sketch's horizon *)
+  | Pong of {
+      map_version : int;
+          (** [0] when no map is installed (e.g. the node restarted):
+              the coordinator's staleness gauge feeds on this *)
+      now : Time.t;  (** the node's logical clock *)
+    }  (** the answer to [Shard_ping] *)
 
 type response =
   | Ok_msg of string
@@ -388,58 +447,16 @@ type response =
           an empty [firing] list means every rule read healthy *)
   | Shard_map_reply of shard_identity option
       (** [None] on a node no coordinator has claimed yet *)
-  | Shard_rows of {
+  | Shard_reply of {
       shard_id : int;
       partition : partition_texp;
-      columns : string list;
-      rows : (Value.t list * Time.t) list;
-      texp_e : Time.t;
-      recomputed : bool;
+      body : reply_body;
     }
-      (** [Rows] plus the answering shard's identity and partition
-          summary; the coordinator merges the row sets and reports the
-          min of the partial [texp_e]s (the paper's union rule — exact
-          here because hash partitions are disjoint) *)
-  | Shard_ack of {
-      shard_id : int;
-      partition : partition_texp;
-      message : string;
-    }  (** [Ok_msg] plus identity and partition summary *)
-  | Shard_pong of {
-      shard_id : int;
-      pong_map_version : int;
-          (** [0] when no map is installed (e.g. the node restarted):
-              the coordinator's staleness gauge feeds on this *)
-      now : Time.t;  (** the node's logical clock *)
-      partition : partition_texp;
-    }
+      (** every successful answer to [Fragment], [Shard_ping],
+          [Ingest_rows] and [Purge_moved]: the answering shard's
+          identity and partition summary around the partial itself *)
   | Moved_rows of (int * (Value.t list * Time.t) list) list
       (** rows leaving the answering shard, grouped by new owner id *)
-  | Shard_sketch of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      payload : string;
-    }
-      (** a shard's sketch partial: [payload] is an opaque
-          {!Expirel_sketch.Any.to_string} encoding the coordinator
-          decodes, merges across shards (sketches are shard-
-          decomposable) and queries at its own tau; the merged answer's
-          [texp_e] is the merged sketch's horizon *)
-  | Shard_agg of {
-      shard_id : int;
-      partition : partition_texp;
-      columns : string list;
-      child_texp : Time.t;
-      groups : Expirel_exec.Partial_agg.group list;
-    }
-      (** a shard's grouped-aggregate partial: per-group expiration
-          slices the coordinator merges with
-          {!Expirel_exec.Partial_agg.merge_all} and finalises once —
-          the distributed query's rows and texps come out identical to
-          a single node holding all rows, because the slice components
-          (counts, sums, extrema) are partition-decomposable and the
-          finalisation is shared code, not a reimplementation *)
   | Horizon_reply of Expirel_obs.Horizon.report
       (** the node's expiration forecast.  Buckets count disjoint row
           sets, so a coordinator rolls per-shard replies up with

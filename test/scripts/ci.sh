@@ -13,6 +13,8 @@ dune build lib/exec
 dune build lib/sketch
 dune build @all
 dune runtest
+# The benchmark driver's own self-tests: no build and no server needed.
+python3 perfbench/selftest.py
 # Smoke the observability experiment: a live server, a METRICS scrape
 # validated line by line, and the slow-query log — end to end.
 dune exec bench/main.exe -- obs

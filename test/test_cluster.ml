@@ -590,6 +590,16 @@ let test_shard_failed () =
       expect_shard_failed "SELECT AVG(v) FROM t";
       expect_shard_failed "SELECT * FROM t JOIN u ON t.k = u.k";
       expect_shard_failed "SELECT * FROM t JOIN u ON t.v = u.w";
+      (* Writes name the dead shard the same way: a routed INSERT whose
+         key shard 1 owns, and a broadcast that reaches shard 1. *)
+      let map = Coordinator.shard_map coord in
+      let rec key_on_1 k =
+        if Wire.shard_owner map (Value.int k) = 1 then k else key_on_1 (k + 1)
+      in
+      expect_shard_failed
+        (Printf.sprintf "INSERT INTO t VALUES (%d, 0) EXPIRES 100"
+           (key_on_1 100));
+      expect_shard_failed "TICK 1";
       (* A statement-level error is NOT a shard failure: the verdict of
          a live shard passes through with its own code. *)
       match Coordinator.exec coord "SELECT nope FROM t" with
@@ -599,6 +609,34 @@ let test_shard_failed () =
       | Wire.Err _ -> ()
       | r ->
         Alcotest.failf "expected an error, got %s" (Wire.render_response r))
+
+(* Every shard reply refreshes the pruning cache, aggregate partials
+   included: a statement error forgets each contacted shard's summary,
+   and one grouped aggregate — contacting every shard, since unknown
+   summaries never prune — must bring every summary back. *)
+let test_agg_refreshes_summaries () =
+  with_cluster 3 (fun coord _servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      for k = 1 to 12 do
+        ignore
+          (exec coord
+             (Printf.sprintf "INSERT INTO t VALUES (%d, %d) EXPIRES 100" k k))
+      done;
+      (match Coordinator.exec coord "SELECT nope FROM t" with
+       | Wire.Err _ -> ()
+       | r ->
+         Alcotest.failf "expected an error, got %s" (Wire.render_response r));
+      List.iter
+        (fun (id, summary, _) ->
+          if summary <> None then
+            Alcotest.failf "shard %d kept its summary through an error" id)
+        (Coordinator.summaries coord);
+      ignore (exec coord "SELECT k, SUM(v) FROM t GROUP BY k");
+      List.iter
+        (fun (id, summary, _) ->
+          if summary = None then
+            Alcotest.failf "shard %d summary not refreshed by its partial" id)
+        (Coordinator.summaries coord))
 
 (* ---------- qcheck: cluster == single node on random workloads ---------- *)
 
@@ -860,6 +898,8 @@ let suite =
       test_distributed_groupby_joins;
     Alcotest.test_case "a dead shard surfaces as Shard_failed" `Quick
       test_shard_failed;
+    Alcotest.test_case "aggregate partials refresh shard summaries" `Quick
+      test_agg_refreshes_summaries;
     qcheck_cluster_matches_single_node;
     Alcotest.test_case "global aggregates combine from shard partials" `Quick
       test_aggregate_combine;

@@ -61,6 +61,17 @@ let partition_texp : Wire.partition_texp Gen.t =
 
 let moved = Gen.list_size (Gen.int_range 0 4) (Gen.pair row time)
 
+(* v9: every kind of shard fragment, build rows included. *)
+let fragment_kind : Wire.fragment_kind Gen.t =
+  Gen.oneof
+    [ Gen.return Wire.Statement;
+      Gen.map2
+        (fun build_table build_rows ->
+          Wire.Broadcast_join { build_table; build_rows })
+        name moved;
+      Gen.return Wire.Agg_partial;
+      Gen.return Wire.Sketch_partial ]
+
 let request : Wire.request Gen.t =
   Gen.oneof
     [ Gen.map (fun s -> Wire.Exec s) name;
@@ -84,28 +95,16 @@ let request : Wire.request Gen.t =
       Gen.map2
         (fun map self_id -> Wire.Shard_install { map; self_id })
         shard_map_gen (Gen.int_range 0 1_000);
-      Gen.map2
-        (fun sql ctx -> Wire.Exec_shard { sql; ctx })
-        name (Gen.option trace_ctx);
       Gen.return Wire.Shard_ping;
       Gen.map (fun t -> Wire.Extract_moving t) name;
       Gen.map2
         (fun table ingest -> Wire.Ingest_rows { table; ingest })
         name moved;
       Gen.map (fun t -> Wire.Purge_moved t) name;
-      (* v6/v7 shard-local evaluation requests *)
-      Gen.map2
-        (fun sql ctx -> Wire.Sketch_shard { sql; ctx })
-        name (Gen.option trace_ctx);
-      Gen.map2
-        (fun sql ctx -> Wire.Agg_shard { sql; ctx })
-        name (Gen.option trace_ctx);
-      (let open Gen in
-       let* sql = name in
-       let* build_table = name in
-       let* build_rows = moved in
-       let* ctx = option trace_ctx in
-       return (Wire.Join_shard { sql; build_table; build_rows; ctx }));
+      (* v9: the one shard work request *)
+      Gen.map3
+        (fun sql kind ctx -> Wire.Fragment { sql; kind; ctx })
+        name fragment_kind (Gen.option trace_ctx);
       (* v8: the forward-looking expiration forecast *)
       Gen.map (fun t -> Wire.Horizon t) (Gen.option name) ]
 
@@ -279,6 +278,30 @@ let agg_group : Expirel_exec.Partial_agg.group Gen.t =
     row
     (Gen.list_size (Gen.int_range 0 4) slice)
 
+(* v9: every body a shard reply carries — rows, acks, slice partials,
+   opaque sketch payloads and heartbeat answers. *)
+let reply_body : Wire.reply_body Gen.t =
+  let open Gen in
+  oneof
+    [ (let* columns = list_size (int_range 0 4) name in
+       let* rows = list_size (int_range 0 8) (pair row time) in
+       let* texp_e = time in
+       let* recomputed = bool in
+       return
+         (Wire.Rows { columns; rows; texp_e; recomputed } : Wire.reply_body));
+      map (fun message -> Wire.Ack message) name;
+      (let* columns = list_size (int_range 0 4) name in
+       let* child_texp = time in
+       let* groups = list_size (int_range 0 4) agg_group in
+       return (Wire.Agg { columns; child_texp; groups }));
+      map2
+        (fun columns payload -> Wire.Sketch { columns; payload })
+        (list_size (int_range 0 4) name) name;
+      map2
+        (fun map_version now : Wire.reply_body ->
+          Wire.Pong { map_version; now })
+        (int_range 0 1_000) time ]
+
 let response : Wire.response Gen.t =
   Gen.oneof
     [ Gen.map (fun m -> Wire.Ok_msg m) name;
@@ -321,45 +344,14 @@ let response : Wire.response Gen.t =
               (fun installed_map self_id ->
                 { Wire.installed_map; self_id })
               shard_map_gen (Gen.int_range 0 1_000)));
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* rows = list_size (int_range 0 8) (pair row time) in
-       let* texp_e = time in
-       let* recomputed = bool in
-       return
-         (Wire.Shard_rows
-            { shard_id; partition; columns; rows; texp_e; recomputed }));
       Gen.map3
-        (fun shard_id partition message ->
-          Wire.Shard_ack { shard_id; partition; message })
-        (Gen.int_range 0 1_000) partition_texp name;
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* pong_map_version = int_range 0 1_000 in
-       let* now = time in
-       let* partition = partition_texp in
-       return (Wire.Shard_pong { shard_id; pong_map_version; now; partition }));
+        (fun shard_id partition body ->
+          Wire.Shard_reply { shard_id; partition; body })
+        (Gen.int_range 0 1_000) partition_texp reply_body;
       Gen.map
         (fun groups -> Wire.Moved_rows groups)
         (Gen.list_size (Gen.int_range 0 4)
            (Gen.pair (Gen.int_range 0 1_000) moved));
-      (* v6: an opaque sketch payload, v7: merged slice partials *)
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* payload = name in
-       return (Wire.Shard_sketch { shard_id; partition; columns; payload }));
-      (let open Gen in
-       let* shard_id = int_range 0 1_000 in
-       let* partition = partition_texp in
-       let* columns = list_size (int_range 0 4) name in
-       let* child_texp = time in
-       let* groups = list_size (int_range 0 4) agg_group in
-       return
-         (Wire.Shard_agg { shard_id; partition; columns; child_texp; groups }));
       (* v8: the forecast reply carries the report verbatim *)
       Gen.map (fun r -> Wire.Horizon_reply r) horizon_report ]
 
@@ -436,9 +428,42 @@ let test_unknown_tag () =
   (match Wire.decode_request bad with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown request tag accepted");
-  match Wire.decode_response bad with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown response tag accepted"
+  (match Wire.decode_response bad with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "unknown response tag accepted");
+  (* The sub-tags inside the shard messages are checked too: a fragment
+     kind or a reply body this version does not know is an error. *)
+  let swap_byte payload pos =
+    let b = Bytes.of_string payload in
+    Bytes.set b pos (Char.chr 0xEE);
+    Bytes.to_string b
+  in
+  let fragment =
+    Wire.encode_request
+      (Wire.Fragment { sql = "q"; kind = Wire.Agg_partial; ctx = None })
+  in
+  (* version, tag, 4-byte length + "q", then the kind byte *)
+  (match Wire.decode_request (swap_byte fragment 7) with
+   | Error e ->
+     Alcotest.(check string)
+       "kind sub-tag" "bad request: bad fragment kind 238" e
+   | Ok _ -> Alcotest.fail "unknown fragment kind accepted");
+  let reply =
+    Wire.encode_response
+      (Wire.Shard_reply
+         { shard_id = 1;
+           partition =
+             { Wire.live_rows = 0; min_texp = Time.Inf; max_texp = Time.Inf };
+           body = Wire.Ack "ok"
+         })
+  in
+  (* version, tag, 8-byte shard id, partition (8 + 1 + 1), then the
+     body byte *)
+  match Wire.decode_response (swap_byte reply 20) with
+  | Error e ->
+    Alcotest.(check string)
+      "body sub-tag" "bad response: bad shard reply body 238" e
+  | Ok _ -> Alcotest.fail "unknown shard reply body accepted"
 
 let test_wrong_version () =
   let payload = Wire.encode_request Wire.Ping in
@@ -468,6 +493,23 @@ let test_v1_payload_detected () =
   match Wire.decode_response (Wire.encode_response err) with
   | Ok r when r = err -> ()
   | Ok _ | Error _ -> Alcotest.fail "Version_mismatch error does not round-trip"
+
+(* A v8 exec-shard payload (version byte 8, tag 15, the statement and
+   an absent trace context) must be rejected, with [payload_version]
+   still reading 8 so the server answers [Version_mismatch].  Tag 15 is
+   retired, so the same body under the current version byte is an
+   unknown tag, never a misread [Fragment]. *)
+let test_v8_shard_payload_detected () =
+  let body = "\x0f\x00\x00\x00\x08SELECT 1\x00" in
+  let v8 = "\x08" ^ body in
+  (match Wire.decode_request v8 with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "v8 shard payload accepted by the v9 decoder");
+  Alcotest.(check (option int)) "payload_version reads v8" (Some 8)
+    (Wire.payload_version v8);
+  match Wire.decode_request (String.make 1 (Char.chr Wire.version) ^ body) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "retired request tag 15 accepted"
 
 let test_empty_payload () =
   (match Wire.decode_request "" with
@@ -569,6 +611,8 @@ let suite =
     Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
     Alcotest.test_case "wrong version" `Quick test_wrong_version;
     Alcotest.test_case "v1 payload detected" `Quick test_v1_payload_detected;
+    Alcotest.test_case "v8 shard payload detected" `Quick
+      test_v8_shard_payload_detected;
     Alcotest.test_case "empty payload" `Quick test_empty_payload;
     Alcotest.test_case "oversized length prefix" `Quick test_oversized_length_prefix;
     Alcotest.test_case "short header is incomplete" `Quick test_short_header_incomplete;
