@@ -119,42 +119,51 @@ let default_health_rules ~shards =
 
 (* Every coordinator->shard message flows through here: one request in
    flight per connection (fan-out threads and the heartbeat thread
-   share members), traffic counters fed from the encoded sizes (+4 for
-   the length prefix), and the piggybacked partition summary harvested
-   from whatever reply carries one. *)
+   share members), traffic counters fed from the framed sizes the
+   client counted on the socket while the slot was held, and the
+   piggybacked partition summary harvested from whatever reply carries
+   one. *)
 let send t slot req =
   Mutex.lock slot.slot_lock;
   let result =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock slot.slot_lock)
-      (fun () -> Member.on slot.member (fun c -> Client.request c req))
+      (fun () ->
+        Member.on slot.member (fun c ->
+            let sent = Client.bytes_sent c
+            and received = Client.bytes_received c in
+            Result.map
+              (fun resp ->
+                ( resp,
+                  Client.bytes_sent c - sent,
+                  Client.bytes_received c - received ))
+              (Client.request c req)))
   in
-  (match result with
-   | Ok resp ->
-     slot.reachable <- true;
-     Obs.Instrument.Counter.incr slot.requests;
-     Obs.Instrument.Counter.incr t.messages_total;
-     Obs.Instrument.Counter.add t.bytes_sent_total
-       (String.length (Wire.encode_request req) + 4);
-     Obs.Instrument.Counter.add t.bytes_received_total
-       (String.length (Wire.encode_response resp) + 4);
-     (match resp with
-      | Wire.Shard_reply { partition; body; _ } ->
-        slot.summary <- Some partition;
-        (match body with
-         | Wire.Pong { map_version; now } ->
-           slot.map_version_seen <- map_version;
-           locked t (fun () -> t.now <- Time.max t.now now)
-         | Wire.Rows _ | Wire.Ack _ | Wire.Agg _ | Wire.Sketch _ -> ())
-      | Wire.Err _ ->
-        (* A refused or failed statement tells us nothing about the
-           partition; forget the cached summary rather than guess. *)
-        slot.summary <- None
-      | _ -> ())
-   | Error _ ->
-     slot.reachable <- false;
-     slot.summary <- None);
-  result
+  match result with
+  | Ok (resp, sent, received) ->
+    slot.reachable <- true;
+    Obs.Instrument.Counter.incr slot.requests;
+    Obs.Instrument.Counter.incr t.messages_total;
+    Obs.Instrument.Counter.add t.bytes_sent_total sent;
+    Obs.Instrument.Counter.add t.bytes_received_total received;
+    (match resp with
+     | Wire.Shard_reply { partition; body; _ } ->
+       slot.summary <- Some partition;
+       (match body with
+        | Wire.Pong { map_version; now } ->
+          slot.map_version_seen <- map_version;
+          locked t (fun () -> t.now <- Time.max t.now now)
+        | Wire.Rows _ | Wire.Ack _ | Wire.Agg _ | Wire.Sketch _ -> ())
+     | Wire.Err _ ->
+       (* A refused or failed statement tells us nothing about the
+          partition; forget the cached summary rather than guess. *)
+       slot.summary <- None
+     | _ -> ());
+    Ok resp
+  | Error _ as e ->
+    slot.reachable <- false;
+    slot.summary <- None;
+    e
 
 (* The one unit of work the coordinator ships to a shard, carrying the
    caller's trace context so the shard's spans join its trace. *)

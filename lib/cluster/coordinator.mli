@@ -162,8 +162,8 @@ type traffic = {
   fanouts : int;  (** scatter-gather queries executed *)
   pruned : int;  (** shard contacts skipped by the pruning invariant *)
   messages : int;  (** coordinator-to-shard requests sent *)
-  bytes_sent : int;  (** encoded request bytes, framing included *)
-  bytes_received : int;  (** encoded reply bytes, framing included *)
+  bytes_sent : int;  (** framed bytes written to shards *)
+  bytes_received : int;  (** framed bytes read from shards *)
 }
 
 val traffic : t -> traffic

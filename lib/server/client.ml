@@ -4,6 +4,8 @@ type t = {
   fd : Unix.file_descr;
   pending : Wire.event Queue.t;
   mutable closed : bool;
+  mutable bytes_sent : int;  (* framed: payload + 4 per frame *)
+  mutable bytes_received : int;
 }
 
 let resolve host =
@@ -27,14 +29,30 @@ let connect ?(timeout = 10.0) ~host ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; pending = Queue.create (); closed = false }
+  { fd;
+    pending = Queue.create ();
+    closed = false;
+    bytes_sent = 0;
+    bytes_received = 0
+  }
+
+let bytes_sent t = t.bytes_sent
+let bytes_received t = t.bytes_received
+
+let send_frame t payload =
+  t.bytes_sent <- t.bytes_sent + Frame.send t.fd payload
+
+let recv_frame t =
+  let payload, n = Frame.recv t.fd in
+  t.bytes_received <- t.bytes_received + n;
+  payload
 
 let fail_closed = Error "connection closed"
 
 (* Blocks for the next frame; queues events until a direct response
    arrives. *)
 let rec read_response t =
-  match Frame.recv t.fd with
+  match recv_frame t with
   | exception Frame.Closed ->
     t.closed <- true;
     fail_closed
@@ -42,7 +60,7 @@ let rec read_response t =
   | exception Frame.Oversized n ->
     t.closed <- true;
     Error (Printf.sprintf "oversized frame (%d bytes): stream desynchronised" n)
-  | payload, _ ->
+  | payload ->
     (match Wire.decode_response payload with
      | Error e ->
        t.closed <- true;
@@ -55,8 +73,8 @@ let rec read_response t =
 let request t req =
   if t.closed then fail_closed
   else
-    match Frame.send t.fd (Wire.encode_request req) with
-    | (_ : int) -> read_response t
+    match send_frame t (Wire.encode_request req) with
+    | () -> read_response t
     | exception (Frame.Closed | Frame.Timeout) ->
       t.closed <- true;
       fail_closed
@@ -201,10 +219,10 @@ let poll_events t ~timeout =
         match Unix.select [ t.fd ] [] [] remaining with
         | [], _, _ -> ()
         | _ :: _, _, _ ->
-          (match Frame.recv t.fd with
+          (match recv_frame t with
            | exception (Frame.Closed | Frame.Oversized _) -> t.closed <- true
            | exception Frame.Timeout -> ()
-           | payload, _ ->
+           | payload ->
              (match Wire.decode_response payload with
               | Ok (Wire.Event event) ->
                 Queue.add event t.pending;
@@ -224,7 +242,7 @@ let poll_events t ~timeout =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (try ignore (Frame.send t.fd (Wire.encode_request Wire.Quit))
+    (try send_frame t (Wire.encode_request Wire.Quit)
      with Frame.Closed | Frame.Timeout | Unix.Unix_error _ -> ());
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end

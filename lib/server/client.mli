@@ -21,6 +21,14 @@ val connect : ?timeout:float -> host:string -> port:int -> unit -> t
 val close : t -> unit
 (** Best-effort [Quit] + socket close.  Idempotent. *)
 
+val bytes_sent : t -> int
+(** Bytes this connection has put on the wire so far, counted per
+    frame as payload + 4 (the length prefix). *)
+
+val bytes_received : t -> int
+(** Bytes of whole frames this connection has read so far (pushed
+    events included), counted like {!bytes_sent}. *)
+
 val request : t -> Wire.request -> (Wire.response, string) result
 (** Sends one request and blocks for its (non-event) response. *)
 

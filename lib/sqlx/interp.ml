@@ -342,11 +342,14 @@ let aggregate_partial ?trace t { Ast.q; at; order_by = _; limit = _ } =
       Partial_agg.of_relation ~group:d_group ~func:d_func child.Eval.relation,
       child.Eval.texp )
 
-(* Shard-side half of a distributed broadcast join: evaluate the full
-   query over this shard's local rows, with the (small) build side's
-   complete table — shipped in [rows] — standing in for the local
-   fragment of [table].  Probe partitions are disjoint across shards, so
-   the union of the per-shard results is the exact join. *)
+(* Shard-side half of a distributed broadcast join: the (small) build
+   side's complete table — shipped in [rows] — stands in for the local
+   fragment of [table] inside a read-only overlay of the database, and
+   the query plans and runs there like any other, so an equi-join is a
+   hash join rather than a filtered product.  A tuple shipped twice
+   keeps its larger texp, as the union rule would.  Probe partitions
+   are disjoint across shards, so the union of the per-shard results is
+   the exact join. *)
 let join_broadcast ?trace t { Ast.q; at; order_by = _; limit = _ } ~table
     ~(rows : (Value.t list * Time.t) list) =
   if at <> None then failwith "join_broadcast: AT not supported";
@@ -356,29 +359,22 @@ let join_broadcast ?trace t { Ast.q; at; order_by = _; limit = _ } ~table
   in
   if approx <> None then failwith "join_broadcast: approximate query";
   let build =
-    let arity =
-      match rows with
-      | (vs, _) :: _ -> List.length vs
-      | [] ->
-        (match catalog t table with
-         | Some cols -> List.length cols
-         | None -> 0)
-    in
-    List.fold_left
-      (fun acc (vs, texp) -> Relation.add (Tuple.of_list vs) ~texp acc)
-      (Relation.empty ~arity) rows
+    Table.create ~name:table
+      ~columns:(Table.columns (Database.table_exn t.db table))
+      ()
   in
-  let tau = Database.now t.db in
+  List.iter
+    (fun (vs, texp) ->
+      let tuple = Tuple.of_list vs in
+      match Table.texp_of build tuple with
+      | Some kept when Time.(kept >= texp) -> ()
+      | Some _ | None -> Table.insert build tuple ~texp)
+    rows;
+  let db = Database.with_table t.db build in
+  let compiled = Trace.span trace "plan" (fun () -> Planner.plan ~db expr) in
   let { Eval.relation; texp } =
     Trace.span trace "eval" (fun () ->
-        let env name =
-          if String.equal name table then Some build
-          else
-            Option.map
-              (fun tbl -> Table.snapshot tbl ~tau)
-              (Database.table t.db name)
-        in
-        Eval.run ?probe:(probe_of trace) ~env ~tau expr)
+        Executor.run ?probe:(xprobe_of trace) ~db compiled)
   in
   ( columns,
     List.map (fun (tuple, e) -> (Tuple.to_list tuple, e))

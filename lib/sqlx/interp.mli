@@ -137,13 +137,19 @@ val join_broadcast :
   string list
   * (Expirel_core.Value.t list * Expirel_core.Time.t) list
   * Expirel_core.Time.t
-(** Shard-side half of a distributed broadcast join: evaluates the full
-    query with the shipped [rows] standing in for [table] (the build
-    side's complete contents) and every other table read from local
-    rows.  Returns columns, result rows with their expirations, and
-    texp(e); the coordinator unions per-shard results under the union
-    rule.  Raises [Failure] on [AT] or approximate queries, plus
-    whatever lowering and evaluation raise. *)
+(** Shard-side half of a distributed broadcast join: plans and runs the
+    full query on the physical executor with the shipped [rows] (the
+    build side's complete contents) standing in for [table], and every
+    other table read from local rows.  The rows fill a fresh table with
+    [table]'s local columns — a tuple shipped twice keeps its larger
+    expiration time, and rows already expired at the shard's clock
+    join nothing — inside a {!Database.with_table} overlay, so an
+    equi-join runs as a hash join and a theta join as a nested loop.
+    Returns columns, result rows with their expirations, and texp(e);
+    the coordinator unions per-shard results under the union rule.
+    Raises [Failure] on [AT] or approximate queries,
+    [Errors.Unknown_relation] when [table] is not in the local catalog,
+    plus whatever lowering, planning and execution raise. *)
 
 val exec_sql : t -> string -> (outcome, string) result
 (** Parse and execute one statement, reusing both the statement cache

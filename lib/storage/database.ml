@@ -56,6 +56,11 @@ let drop_table db name =
 
 let table db name = Hashtbl.find_opt db.tables name
 
+let with_table db table =
+  let tables = Hashtbl.copy db.tables in
+  Hashtbl.replace tables (Table.name table) table;
+  { db with tables }
+
 let table_exn db name =
   match table db name with
   | Some t -> t

@@ -44,6 +44,15 @@ val create_table : t -> name:string -> columns:string list -> Table.t
 val drop_table : t -> string -> bool
 val table : t -> string -> Table.t option
 val table_exn : t -> string -> Table.t
+
+val with_table : t -> Table.t -> t
+(** [with_table db table] is an overlay of [db] for planning and
+    executing one read: [table] stands under its own name in a copy of
+    the catalog, every other table and the trigger registry are shared
+    with [db], and the clock is [db]'s at the time of the call.  Only
+    read through it: a clock move on the overlay stays there, while a
+    row written to a shared table lands in [db]. *)
+
 val table_names : t -> string list
 
 val pending_expirations : t -> int

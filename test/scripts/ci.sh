@@ -5,6 +5,10 @@
 # server smoke/concurrency tests.
 set -eux
 cd "$(dirname "$0")/../.."
+# The committed BENCH_*.json are the recorded trajectory: nothing below
+# may rewrite them, which the check at the end enforces.
+BENCH_SUMS=$(mktemp)
+sha256sum BENCH_*.json >"$BENCH_SUMS"
 # lib/obs, lib/exec and lib/sketch compile with -warn-error +a (their
 # dunes say so); build them alone first so a warning fails fast with a
 # small log.
@@ -15,22 +19,26 @@ dune build @all
 dune runtest
 # The benchmark driver's own self-tests: no build and no server needed.
 python3 perfbench/selftest.py
+# The bench smokes below run from a scratch directory, where
+# bench/main.exe writes its CI-sized BENCH_<id>.json.
+BENCH=$PWD/_build/default/bench/main.exe
+SMOKE_DIR=$(mktemp -d)
 # Smoke the observability experiment: a live server, a METRICS scrape
 # validated line by line, and the slow-query log — end to end.
-dune exec bench/main.exe -- obs
+(cd "$SMOKE_DIR" && "$BENCH" obs)
 # Smoke the physical execution experiment: hash vs nested-loop joins,
-# the O(1) live-scan fast path, and the plan cache; refreshes
-# BENCH_exec.json.
-dune exec bench/main.exe -- exec
+# the O(1) live-scan fast path, and the plan cache.
+(cd "$SMOKE_DIR" && "$BENCH" exec)
 # Smoke the sketch experiment end to end (single-pass folds, memory
 # vs a materialized relation, 3-way merge, a live 3-shard cluster) at
 # a CI-sized event count; the full 10^7 run is for BENCH_sketch.json.
-EXPIREL_SKETCH_EVENTS=200000 dune exec bench/main.exe -- sketch
+(cd "$SMOKE_DIR" && EXPIREL_SKETCH_EVENTS=200000 "$BENCH" sketch)
 # Smoke the vectorized-executor experiment (live cut, filter kernel,
 # batched hash-join probe, chunk-cut accounting — the last fails hard
 # if the cut skips fewer rows than the expired half) at a CI-sized row
 # count; the full 10^5/10^6 sweep is for BENCH_vexec.json.
-EXPIREL_VEXEC_ROWS=20000 dune exec bench/main.exe -- vexec
+(cd "$SMOKE_DIR" && EXPIREL_VEXEC_ROWS=20000 "$BENCH" vexec)
+rm -rf "$SMOKE_DIR"
 
 # Observability end to end through the CLI: a live server, EXPLAIN
 # ANALYZE and HEALTH driven over the wire, and the Prometheus page
@@ -217,3 +225,7 @@ awk '
 ' "$CLUSTER_PROM"
 kill "$CLUSTER_PID" 2>/dev/null || true
 rm -f "$CLUSTER_LOG" "$CLUSTER_PROM"
+
+# No step above may have rewritten the recorded trajectory.
+sha256sum -c --quiet "$BENCH_SUMS"
+rm -f "$BENCH_SUMS"

@@ -546,6 +546,10 @@ let test_distributed_groupby_joins () =
       "SELECT * FROM pol JOIN aux ON pol.uid = aux.uid";
       (* broadcast join: join key is not the partitioning column *)
       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
+      (* projected broadcast join, the shape the cluster benchmark runs *)
+      "SELECT pol.uid, aux.tag FROM pol JOIN aux ON pol.deg = aux.tag";
+      (* theta broadcast join: the shards run it as a nested loop *)
+      "SELECT * FROM pol JOIN aux ON pol.deg < aux.tag";
       (* gather-then-compute fallback: projected EXCEPT, aggregate over
          a join, AT-qualified broadcast join *)
       "SELECT uid FROM pol EXCEPT SELECT uid FROM aux";
@@ -878,6 +882,43 @@ let test_cluster_storm_rule () =
       | Wire.Health_ok, _ -> ()
       | _ -> Alcotest.fail "health still firing after the storm passed")
 
+(* The coordinator's byte counters report what crossed the shard
+   sockets: each shard server counts the framed bytes it read and wrote
+   (payload + 4 per frame), and with the heartbeat off the coordinator
+   is their only peer, so the two sides must agree exactly. *)
+let test_traffic_bytes () =
+  with_cluster 3 (fun coord servers _eps ->
+      ignore (exec coord "CREATE TABLE t (k, v)");
+      (* A shard counts a reply just after writing it, so the
+         coordinator may read the reply first: read the shards'
+         counters once they have stopped moving. *)
+      let rec server_bytes () =
+        let read () =
+          List.fold_left
+            (fun (i, o) s ->
+              let st = Metrics.snapshot (Server.metrics s) in
+              (i + st.Wire.bytes_in, o + st.Wire.bytes_out))
+            (0, 0) servers
+        in
+        let first = read () in
+        Thread.delay 0.02;
+        if read () = first then first else server_bytes ()
+      in
+      let in0, out0 = server_bytes () in
+      let before = Coordinator.traffic coord in
+      ignore (exec coord "INSERT INTO t VALUES (1, 10) EXPIRES 100");
+      ignore (rows_of "scatter" (exec coord "SELECT * FROM t"));
+      let after = Coordinator.traffic coord in
+      let in1, out1 = server_bytes () in
+      Alcotest.(check bool)
+        "the INSERT and the SELECT contacted shards" true
+        (after.Coordinator.messages - before.Coordinator.messages >= 2);
+      Alcotest.(check int) "bytes sent = bytes the shards read" (in1 - in0)
+        (after.Coordinator.bytes_sent - before.Coordinator.bytes_sent);
+      Alcotest.(check int) "bytes received = bytes the shards wrote"
+        (out1 - out0)
+        (after.Coordinator.bytes_received - before.Coordinator.bytes_received))
+
 let suite =
   [ Alcotest.test_case "scatter-gather == single node" `Quick
       test_matches_single_node;
@@ -908,4 +949,6 @@ let suite =
     Alcotest.test_case "horizon: shard partials merge to the union profile"
       `Quick test_horizon_cluster;
     Alcotest.test_case "horizon: storm rule fires before the drop" `Quick
-      test_cluster_storm_rule ]
+      test_cluster_storm_rule;
+    Alcotest.test_case "traffic bytes = framed bytes on the sockets" `Quick
+      test_traffic_bytes ]

@@ -305,6 +305,127 @@ let test_render () =
   Alcotest.(check bool) "renders a bordered table" true
     (string_contains text "| texp | deg |")
 
+(* ---------- the shard side of a broadcast join ---------- *)
+
+let pol_fragment =
+  [ "CREATE TABLE pol (uid, deg)";
+    "CREATE TABLE aux (uid, tag)";
+    "INSERT INTO pol VALUES (1, 25) EXPIRES 10";
+    "INSERT INTO pol VALUES (2, 30) EXPIRES 20";
+    "INSERT INTO pol VALUES (3, 25) EXPIRES 30";
+    "INSERT INTO pol VALUES (4, 40) EXPIRES 8" ]
+
+let session statements =
+  let t = Interp.create () in
+  List.iter (fun sql -> ignore (exec t sql)) statements;
+  t
+
+(* A shard's probe side: its [pol] fragment, plus a local [aux] row the
+   shipped build rows must replace, at clock 5. *)
+let broadcast_shard () =
+  session
+    (pol_fragment
+    @ [ "INSERT INTO aux VALUES (99, 25) EXPIRES 50"; "ADVANCE TO 5" ])
+
+let shipped rows =
+  List.map (fun (vs, e) -> (List.map Value.int vs, Time.of_int e)) rows
+
+let query_stmt sql =
+  match Parser.parse_statement sql with
+  | Ast.Query qs -> qs
+  | _ -> Alcotest.failf "%S is not a query" sql
+
+let join_broadcast ?trace t sql rows =
+  Interp.join_broadcast ?trace t (query_stmt sql) ~table:"aux"
+    ~rows:(shipped rows)
+
+(* Enough build rows that the cost model picks a hash join for the
+   equi-join (four live [pol] rows probe it). *)
+let build_rows =
+  [ ([ 1; 25 ], 12); ([ 7; 30 ], 25); ([ 8; 45 ], 40) ]
+  @ List.init 8 (fun i -> ([ 20 + i; 26 + (2 * i) ], 15 + i))
+
+(* (a) The shard's answer is the single-node answer over a database
+   whose [aux] holds exactly the shipped rows. *)
+let test_join_broadcast_matches_single_node () =
+  let reference =
+    session
+      (pol_fragment
+      @ List.map
+          (fun (vs, e) ->
+            Printf.sprintf "INSERT INTO aux VALUES (%s) EXPIRES %d"
+              (String.concat ", " (List.map string_of_int vs))
+              e)
+          build_rows
+      @ [ "ADVANCE TO 5" ])
+  in
+  List.iter
+    (fun sql ->
+      let columns, got, texp_e =
+        join_broadcast (broadcast_shard ()) sql build_rows
+      in
+      match exec reference sql with
+      | Interp.Rows { columns = ref_columns; relation; texp_e = ref_texp; _ }
+        ->
+        let expected =
+          List.map
+            (fun (tuple, e) -> (Tuple.to_list tuple, e))
+            (Relation.to_list relation)
+        in
+        Alcotest.(check bool) (sql ^ ": some rows join") true (expected <> []);
+        Alcotest.(check (list string)) (sql ^ ": columns") ref_columns columns;
+        Alcotest.(check bool)
+          (sql ^ ": same rows and texps") true
+          (List.sort compare got = List.sort compare expected);
+        Alcotest.(check bool)
+          (sql ^ ": same texp(e)") true (Time.equal ref_texp texp_e)
+      | Interp.Msg m -> Alcotest.failf "%s: expected rows, got %S" sql m)
+    [ "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag";
+      "SELECT pol.uid, aux.tag FROM pol JOIN aux ON pol.deg = aux.tag";
+      "SELECT * FROM pol JOIN aux ON pol.deg < aux.tag" ]
+
+(* (b) A tuple shipped twice joins with the larger of its texps. *)
+let test_join_broadcast_duplicate_keeps_max () =
+  let _, got, _ =
+    join_broadcast (broadcast_shard ())
+      "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag"
+      [ ([ 5; 25 ], 12); ([ 5; 25 ], 28); ([ 5; 25 ], 14) ]
+  in
+  let row uid pol_texp =
+    (List.map Value.int [ uid; 25; 5; 25 ], Time.of_int pol_texp)
+  in
+  Alcotest.(check bool)
+    "texp = min(pol texp, 28)" true
+    (List.sort compare got = List.sort compare [ row 1 10; row 3 28 ])
+
+(* (c) A shipped row already expired at the shard's clock joins
+   nothing, though live [pol] rows match it. *)
+let test_join_broadcast_expired_build_row () =
+  let _, got, _ =
+    join_broadcast (broadcast_shard ())
+      "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag"
+      [ ([ 6; 30 ], 5); ([ 6; 40 ], 3) ]
+  in
+  Alcotest.(check int) "no rows" 0 (List.length got)
+
+(* (d) The equi-join runs on the physical executor as a hash join: the
+   trace holds its operator span and none of the naive evaluator's. *)
+let test_join_broadcast_hash_join_span () =
+  let trace = Expirel_obs.Trace.create () in
+  ignore
+    (join_broadcast ~trace (broadcast_shard ())
+       "SELECT * FROM pol JOIN aux ON pol.deg = aux.tag"
+       build_rows);
+  let names =
+    List.map
+      (fun s -> s.Expirel_obs.Trace.name)
+      (Expirel_obs.Trace.spans trace)
+  in
+  Alcotest.(check bool) "op:hash-join recorded" true
+    (List.mem "op:hash-join" names);
+  Alcotest.(check bool) "no op:join or op:product" false
+    (List.mem "op:join" names || List.mem "op:product" names)
+
 let suite =
   [ Alcotest.test_case "figure 2 end to end" `Quick test_end_to_end_figure2;
     Alcotest.test_case "joins" `Quick test_join_query;
@@ -322,4 +443,12 @@ let suite =
     Alcotest.test_case "SQL-level expiration triggers" `Quick test_sql_triggers;
     Alcotest.test_case "maintained views track updates and time" `Quick
       test_maintained_view;
-    Alcotest.test_case "rendering" `Quick test_render ]
+    Alcotest.test_case "rendering" `Quick test_render;
+    Alcotest.test_case "join_broadcast = single node over the shipped rows"
+      `Quick test_join_broadcast_matches_single_node;
+    Alcotest.test_case "join_broadcast: a tuple shipped twice keeps max texp"
+      `Quick test_join_broadcast_duplicate_keeps_max;
+    Alcotest.test_case "join_broadcast: an expired build row joins nothing"
+      `Quick test_join_broadcast_expired_build_row;
+    Alcotest.test_case "join_broadcast: equi-join runs as a hash join" `Quick
+      test_join_broadcast_hash_join_span ]
